@@ -267,6 +267,10 @@ type Manager struct {
 	jobs      map[string]*Job
 	finishSeq int64
 
+	// sweeps tracks the sweep goroutines, which outlive the terminal
+	// broadcast by the record save that follows it (see finish).
+	sweeps sync.WaitGroup
+
 	resumed         atomic.Int64
 	coalesced       atomic.Int64
 	checkpointBytes atomic.Int64
@@ -406,7 +410,9 @@ func (m *Manager) run(j *Job, sw Sweep, release func()) {
 	j.mu.Lock()
 	j.cancel = cancel
 	j.mu.Unlock()
+	m.sweeps.Add(1)
 	go func() {
+		defer m.sweeps.Done()
 		defer release()
 		err := m.sweep(ctx, j, sw)
 		if err != nil {
@@ -694,7 +700,9 @@ func (m *Manager) Recover(start StartFunc) (int, error) {
 	m.mu.Unlock()
 	for _, j := range toStart {
 		m.resumed.Add(1)
+		m.sweeps.Add(1)
 		go func(j *Job) {
+			defer m.sweeps.Done()
 			sw, release, err := start(j)
 			if err != nil {
 				m.finish(j, err)

@@ -27,7 +27,12 @@ func testManager(t *testing.T, opt Options) *Manager {
 	if opt.Now == nil {
 		opt.Now = func() int64 { return 1700000000 }
 	}
-	return New(opt)
+	m := New(opt)
+	// A test returns on a job's terminal broadcast, while the sweep
+	// goroutine may still be saving the record into a TempDir that cleanup
+	// is about to remove.
+	t.Cleanup(m.sweeps.Wait)
+	return m
 }
 
 func testStore(t *testing.T) *store.JobStore {

@@ -68,14 +68,16 @@ func RepairData(in *relation.Instance, sigma fd.Set, cover []int32, seed int64, 
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
 	width := in.Schema.Width()
+	// tc holds the last valid assignment and try the candidate under test;
+	// a successful probe swaps them, so the loop allocates no tuples.
+	tc, try := make(relation.Tuple, width), make(relation.Tuple, width)
 	var changed []relation.CellRef
 	for _, ti := range order {
 		t := out.Tuples[ti]
 		attrs := rng.Perm(width)
 
 		fixed := relation.NewAttrSet(attrs[0])
-		tc, ok := ci.findAssignment(t, fixed, &vg)
-		if !ok {
+		if !ci.findAssignment(t, fixed, &vg, tc) {
 			// Theorem 3 shows a valid assignment always exists with one
 			// fixed attribute; reaching here means the cover is not a
 			// vertex cover of sigma's conflict graph.
@@ -83,8 +85,8 @@ func RepairData(in *relation.Instance, sigma fd.Set, cover []int32, seed int64, 
 		}
 		for _, a := range attrs[1:] {
 			fixed = fixed.Add(a)
-			if tc2, ok := ci.findAssignment(t, fixed, &vg); ok {
-				tc = tc2
+			if ci.findAssignment(t, fixed, &vg, try) {
+				tc, try = try, tc
 				continue
 			}
 			// No assignment keeps t[a]: adopt the previous valid
@@ -168,11 +170,11 @@ func (ci *cleanIndex) violation(tc relation.Tuple) (fdIdx int, rhs relation.Valu
 // findAssignment implements Algorithm 5: starting from tc agreeing with t
 // on the fixed attributes and holding fresh variables elsewhere, it chases
 // violations against the clean part, copying the clean RHS value whenever
-// the violated FD's RHS is not fixed. It returns ok=false iff a violated
-// FD's RHS is fixed — no valid assignment exists (Lemma 2: sound and
-// complete).
-func (ci *cleanIndex) findAssignment(t relation.Tuple, fixed relation.AttrSet, vg *relation.VarGen) (relation.Tuple, bool) {
-	tc := make(relation.Tuple, len(t))
+// the violated FD's RHS is not fixed. The assignment is built in tc, which
+// must have t's length. It returns false iff a violated FD's RHS is fixed —
+// no valid assignment exists (Lemma 2: sound and complete) — and tc then
+// holds no meaningful assignment.
+func (ci *cleanIndex) findAssignment(t relation.Tuple, fixed relation.AttrSet, vg *relation.VarGen, tc relation.Tuple) bool {
 	for a := range t {
 		if fixed.Contains(a) {
 			tc[a] = t[a]
@@ -183,11 +185,11 @@ func (ci *cleanIndex) findAssignment(t relation.Tuple, fixed relation.AttrSet, v
 	for {
 		fi, v, found := ci.violation(tc)
 		if !found {
-			return tc, true
+			return true
 		}
 		a := ci.sigma[fi].RHS
 		if fixed.Contains(a) {
-			return nil, false
+			return false
 		}
 		tc[a] = v
 		fixed = fixed.Add(a)

@@ -61,6 +61,7 @@ func RepairDataPinned(in *relation.Instance, sigma fd.Set, pinned map[relation.C
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
 	width := in.Schema.Width()
+	tc, try := make(relation.Tuple, width), make(relation.Tuple, width) // see RepairData
 	var changed []relation.CellRef
 	for _, ti := range order {
 		t := out.Tuples[ti]
@@ -71,8 +72,7 @@ func RepairDataPinned(in *relation.Instance, sigma fd.Set, pinned map[relation.C
 		if fixed.IsEmpty() {
 			fixed = relation.NewAttrSet(attrs[0])
 		}
-		tc, ok := ci.findAssignment(t, fixed, &vg)
-		if !ok {
+		if !ci.findAssignment(t, fixed, &vg, tc) {
 			return nil, fmt.Errorf("repair: tuple %d cannot be repaired: its pinned cells %s conflict with the clean part of the instance",
 				ti, pin)
 		}
@@ -81,8 +81,8 @@ func RepairDataPinned(in *relation.Instance, sigma fd.Set, pinned map[relation.C
 				continue
 			}
 			fixed = fixed.Add(a)
-			if tc2, ok := ci.findAssignment(t, fixed, &vg); ok {
-				tc = tc2
+			if ci.findAssignment(t, fixed, &vg, try) {
+				tc, try = try, tc
 				continue
 			}
 			if !t[a].Equal(tc[a]) {

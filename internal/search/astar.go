@@ -145,9 +145,15 @@ type Searcher struct {
 }
 
 // NewSearcher prepares a searcher: collects difference sets once and wires
-// the heuristic. The weighting w prices LHS extensions.
+// the heuristic. The weighting w prices LHS extensions; the searcher reads
+// it through a concurrency-safe weights.Memo — w itself when it already is
+// one (a session engine's shared memo), else a memo private to the
+// searcher.
 func NewSearcher(an *conflict.Analysis, w weights.Func, opt Options) *Searcher {
 	opt = opt.withDefaults()
+	if _, ok := w.(*weights.Memo); !ok {
+		w = weights.NewMemo(w)
+	}
 	width := an.In.Schema.Width()
 	alpha := width - 1
 	if len(an.Sigma) < alpha {
@@ -173,6 +179,7 @@ func NewSearcher(an *conflict.Analysis, w weights.Func, opt Options) *Searcher {
 		comboCap:   opt.ComboCap,
 		width:      width,
 		matchDiffs: matchDiffs(an, opt.MatchSampleCap),
+		n:          an.In.N(),
 	}
 	if !opt.NoDecomposition {
 		if opt.Decomp != nil {

@@ -30,6 +30,16 @@ type heuristic struct {
 	// matchDiffs holds the difference sets of a globally vertex-disjoint
 	// matching sample of the base conflict graph; see knapsack.
 	matchDiffs []relation.AttrSet
+	// n is the number of tuples, the vertex range of every edge.
+	n int
+
+	// Per-fork scratch of descend: a greedy matching over the edges of the
+	// difference sets excluded on the current recursion path. matched
+	// marks its vertices, undo logs them in marking order so a branch can
+	// roll back to a mark, and msize is the number of matched edges.
+	matched []bool
+	undo    []int32
+	msize   int
 }
 
 // costFunc prices an extension vector and single sets; split out so the
@@ -40,14 +50,15 @@ type costFunc interface {
 }
 
 // fork returns a copy of the heuristic wired to a different cost function,
-// sharing the read-only configuration and matching-sample slice. The worker
-// pool gives each worker a fork over a private costCache so gc runs
-// lock-free; gc is a pure function of (state, ds, τ) given deterministic
-// weights — no map iteration influences any branch — so every fork returns
-// bit-identical bounds.
+// sharing the read-only configuration and matching-sample slice but owning
+// its matching scratch. The worker pool gives each worker a fork over a
+// private costCache so gc runs lock-free; gc is a pure function of (state,
+// ds, τ) given deterministic weights — no map iteration influences any
+// branch — so every fork returns bit-identical bounds.
 func (h *heuristic) fork(w costFunc) *heuristic {
 	c := *h
 	c.w = w
+	c.matched, c.undo, c.msize = nil, nil, 0
 	return &c
 }
 
@@ -65,7 +76,12 @@ func (h *heuristic) gc(s State, all []conflict.DiffSet, tau int) float64 {
 		return bound
 	}
 	ds := h.pickDs(s, all)
-	if rec := h.descend(s, nil, ds, tau); rec > bound {
+	if h.matched == nil {
+		h.matched = make([]bool, h.n)
+	}
+	// A panic inside an earlier descend may have left marks behind.
+	h.rollbackMatching(0)
+	if rec := h.descend(s, ds, tau); rec > bound {
 		bound = rec
 	}
 	return bound
@@ -213,8 +229,9 @@ func (h *heuristic) violatedFDs(s State, d relation.AttrSet) []int {
 
 // descend is the recursive core of Algorithm 3, returning the minimum cost
 // over goal states reachable from sc that resolve or exclude every set in
-// dc, given acc — the edges of already-excluded difference sets.
-func (h *heuristic) descend(sc State, acc []conflict.Edge, dc []conflict.DiffSet, tau int) float64 {
+// dc, given the matching over the edges of already-excluded difference sets
+// (h.matched, h.msize).
+func (h *heuristic) descend(sc State, dc []conflict.DiffSet, tau int) float64 {
 	if len(dc) == 0 {
 		return h.w.StateCost(sc)
 	}
@@ -227,13 +244,14 @@ func (h *heuristic) descend(sc State, acc []conflict.Edge, dc []conflict.DiffSet
 	// the full conflict graph — rather than the paper's 2·|M| cover, and ≤
 	// rather than <: both changes keep gc(S) admissible (never above the
 	// cost of a real goal descendant), at the price of a slightly looser
-	// bound.
-	accWithD := make([]conflict.Edge, 0, len(acc)+len(d.Edges))
-	accWithD = append(accWithD, acc...)
-	accWithD = append(accWithD, d.Edges...)
-	if matchingSize(accWithD)*h.alpha <= tau {
-		best = h.descend(sc, accWithD, dc[1:], tau)
+	// bound. A greedy matching over the excluded edges followed by d's is
+	// the current matching extended over d's edges, so the matching grows
+	// in place and rolls back once the branch returns.
+	mark := h.extendMatching(d.Edges)
+	if h.msize*h.alpha <= tau {
+		best = h.descend(sc, dc[1:], tau)
 	}
+	h.rollbackMatching(mark)
 
 	// Option 2: resolve d by appending one of its attributes to the LHS of
 	// every FD it violates (lines 12-15).
@@ -241,7 +259,7 @@ func (h *heuristic) descend(sc State, acc []conflict.Edge, dc []conflict.DiffSet
 	if len(viol) == 0 {
 		// Already resolved at sc (can happen after an earlier extension);
 		// just move on.
-		if v := h.descend(sc, acc, dc[1:], tau); v < best {
+		if v := h.descend(sc, dc[1:], tau); v < best {
 			best = v
 		}
 		return best
@@ -288,7 +306,7 @@ func (h *heuristic) descend(sc State, acc []conflict.Edge, dc []conflict.DiffSet
 				next[fi] = next[fi].Add(choice[j])
 			}
 			rest := filterViolated(h, next, dc[1:])
-			if v := h.descend(next, acc, rest, tau); v < best {
+			if v := h.descend(next, rest, tau); v < best {
 				best = v
 			}
 			return
@@ -330,22 +348,26 @@ func filterViolated(h *heuristic, s State, dc []conflict.DiffSet) []conflict.Dif
 	return out
 }
 
-// matchingSize returns the size of a greedy maximal matching of the given
-// edge list. Every vertex cover of any supergraph has at least this many
-// vertices, which is exactly the property the exclusion budget test needs.
-func matchingSize(edges []conflict.Edge) int {
-	matched := make(map[int32]struct{}, len(edges))
-	size := 0
+// extendMatching extends the greedy matching over edges and returns the
+// undo-log mark to roll back to.
+func (h *heuristic) extendMatching(edges []conflict.Edge) int {
+	mark := len(h.undo)
 	for _, e := range edges {
-		if _, ok := matched[e.T1]; ok {
+		if h.matched[e.T1] || h.matched[e.T2] {
 			continue
 		}
-		if _, ok := matched[e.T2]; ok {
-			continue
-		}
-		matched[e.T1] = struct{}{}
-		matched[e.T2] = struct{}{}
-		size++
+		h.matched[e.T1], h.matched[e.T2] = true, true
+		h.undo = append(h.undo, e.T1, e.T2)
+		h.msize++
 	}
-	return size
+	return mark
+}
+
+// rollbackMatching undoes every edge matched after mark.
+func (h *heuristic) rollbackMatching(mark int) {
+	for _, v := range h.undo[mark:] {
+		h.matched[v] = false
+	}
+	h.msize -= (len(h.undo) - mark) / 2
+	h.undo = h.undo[:mark]
 }

@@ -7,15 +7,14 @@ import (
 
 	"relatrust/internal/components"
 	"relatrust/internal/conflict"
-	"relatrust/internal/relation"
-	"relatrust/internal/weights"
 )
 
 // This file implements the parallel evaluation engine behind
 // Options.Workers: a pool of worker goroutines, each owning a forked
 // conflict.Analysis (shared immutable clusters, private cover scratch), a
-// private costCache, and a private heuristic, so CoverSize and gc(S) run
-// lock-free. The engine parallelizes the three hot sections of the A* loop:
+// private costCache over the searcher's shared weight memo, and a private
+// heuristic, so CoverSize and gc(S) run lock-free once the memo is warm.
+// The engine parallelizes the three hot sections of the A* loop:
 //
 //  1. the children of a popped state are batch-scored (StateCost + gc)
 //     across the workers before being pushed;
@@ -32,35 +31,6 @@ import (
 // results in generation order with the same seq tie-breakers the sequential
 // loop would assign, so which worker finishes first never influences the
 // search. See runPar in astar.go.
-
-// lockedWeights makes one weights.Func usable from every worker: the
-// underlying implementations memoize into unsynchronized maps, so all
-// cache misses funnel through one mutex. Per-worker costCaches absorb
-// repeated lookups, keeping the lock off the steady-state path.
-type lockedWeights struct {
-	mu    sync.Mutex
-	w     weights.Func
-	cache map[relation.AttrSet]float64
-}
-
-func newLockedWeights(w weights.Func) *lockedWeights {
-	return &lockedWeights{w: w, cache: make(map[relation.AttrSet]float64)}
-}
-
-// Weight implements weights.Func.
-func (l *lockedWeights) Weight(y relation.AttrSet) float64 {
-	l.mu.Lock()
-	v, ok := l.cache[y]
-	if !ok {
-		v = l.w.Weight(y)
-		l.cache[y] = v
-	}
-	l.mu.Unlock()
-	return v
-}
-
-// Name implements weights.Func.
-func (l *lockedWeights) Name() string { return l.w.Name() }
 
 // worker holds the per-goroutine state of the pool.
 type worker struct {
@@ -90,9 +60,8 @@ func newEvalPool(s *Searcher, n int) *evalPool {
 		workers:  make([]*worker, n),
 		tasks:    make(chan func(*worker), 4*n),
 	}
-	lw := newLockedWeights(s.W)
 	for i := range p.workers {
-		costs := &costCache{w: lw}
+		costs := &costCache{w: s.W}
 		an := s.An.Fork()
 		// Each worker's fork carries its own partition cache — no locks,
 		// dropped again when the fork is released. Both branches reset the

@@ -281,7 +281,7 @@ func (s *Server) repairMined(ctx context.Context, d *dataset, req DiscoverReques
 		IncludeChanges:   req.IncludeChanges,
 		TimeoutMS:        req.TimeoutMS,
 	}
-	opt, err := s.options(d, rreq, in, sess)
+	opt, err := s.options(d, rreq, sess)
 	if err != nil {
 		return 0, err
 	}

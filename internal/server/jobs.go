@@ -95,10 +95,10 @@ func (s *Server) jobSpec(d *dataset, req RepairRequest, sigma relatrust.FDSet) (
 	if wname == "" {
 		wname = "distinct-count"
 	}
-	in := d.live.Rows()
-	if _, err := weights.ByName(wname, in); err != nil {
+	if _, err := weights.Canonical(wname); err != nil {
 		return jobs.Spec{}, err
 	}
+	in := d.live.Rows()
 	parts := make([]string, len(sigma))
 	for i, f := range sigma {
 		parts[i] = f.Format(in.Schema)
@@ -454,7 +454,7 @@ func (s *Server) jobSweep(d *dataset, req RepairRequest, j *jobs.Job) jobs.Sweep
 		if err != nil {
 			return err
 		}
-		opt, err := s.options(d, req, in, sess)
+		opt, err := s.options(d, req, sess)
 		if err != nil {
 			return err
 		}

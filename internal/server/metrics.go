@@ -17,29 +17,38 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	body := s.statzBody()
 	var b strings.Builder
 
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-			name, help, name, name, formatMetric(v))
+	// Series named *_total are monotone counters, everything else a gauge.
+	// The one exception, relatrust_component_parallel_evals_total, reports
+	// the last finished sweep's count and stays a gauge.
+	typeOf := func(name string) string {
+		if strings.HasSuffix(name, "_total") && name != "relatrust_component_parallel_evals_total" {
+			return "counter"
+		}
+		return "gauge"
 	}
-	gauge("relatrust_uptime_seconds", "Seconds since the server started.", body.UptimeSeconds)
-	gauge("relatrust_datasets", "Registered datasets.", float64(body.Sessions))
-	gauge("relatrust_warm_sessions", "Datasets currently holding a warm session.", float64(body.WarmSessions))
-	gauge("relatrust_sessions_evicted_total", "Warm sessions evicted under MaxWarmSessions.", float64(body.SessionsEvicted))
-	gauge("relatrust_panics_recovered_total", "Panics contained by the recovery layers.", float64(body.PanicsRecovered))
+	metric := func(name, help string, v float64) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
+			name, help, name, typeOf(name), name, formatMetric(v))
+	}
+	metric("relatrust_uptime_seconds", "Seconds since the server started.", body.UptimeSeconds)
+	metric("relatrust_datasets", "Registered datasets.", float64(body.Sessions))
+	metric("relatrust_warm_sessions", "Datasets currently holding a warm session.", float64(body.WarmSessions))
+	metric("relatrust_sessions_evicted_total", "Warm sessions evicted under MaxWarmSessions.", float64(body.SessionsEvicted))
+	metric("relatrust_panics_recovered_total", "Panics contained by the recovery layers.", float64(body.PanicsRecovered))
 
-	gauge("relatrust_jobs_active", "Jobs currently running.", float64(body.Jobs.Active))
-	gauge("relatrust_jobs_completed", "Jobs whose frontier completed.", float64(body.Jobs.Completed))
-	gauge("relatrust_jobs_failed", "Jobs that ended in an error.", float64(body.Jobs.Failed))
-	gauge("relatrust_jobs_cancelled", "Jobs cancelled by request or dataset deletion.", float64(body.Jobs.Cancelled))
-	gauge("relatrust_jobs_resumed_total", "Job sweeps resumed from a checkpoint.", float64(body.Jobs.Resumed))
-	gauge("relatrust_jobs_coalesced_total", "Job submissions answered by an existing job.", float64(body.Jobs.Coalesced))
-	gauge("relatrust_job_checkpoint_bytes_total", "Bytes appended to durable job result logs.", float64(body.Jobs.CheckpointBytes))
-	gauge("relatrust_job_results_evicted_bytes_total", "Result-log bytes evicted under MaxJobResultsBytes.", float64(body.Jobs.ResultsEvictedBytes))
+	metric("relatrust_jobs_active", "Jobs currently running.", float64(body.Jobs.Active))
+	metric("relatrust_jobs_completed", "Jobs whose frontier completed.", float64(body.Jobs.Completed))
+	metric("relatrust_jobs_failed", "Jobs that ended in an error.", float64(body.Jobs.Failed))
+	metric("relatrust_jobs_cancelled", "Jobs cancelled by request or dataset deletion.", float64(body.Jobs.Cancelled))
+	metric("relatrust_jobs_resumed_total", "Job sweeps resumed from a checkpoint.", float64(body.Jobs.Resumed))
+	metric("relatrust_jobs_coalesced_total", "Job submissions answered by an existing job.", float64(body.Jobs.Coalesced))
+	metric("relatrust_job_checkpoint_bytes_total", "Bytes appended to durable job result logs.", float64(body.Jobs.CheckpointBytes))
+	metric("relatrust_job_results_evicted_bytes_total", "Result-log bytes evicted under MaxJobResultsBytes.", float64(body.Jobs.ResultsEvictedBytes))
 
 	if body.Store != nil {
-		gauge("relatrust_store_saves_total", "Dataset snapshots written.", float64(body.Store.Saves))
-		gauge("relatrust_store_loads_total", "Dataset snapshots loaded.", float64(body.Store.Loads))
-		gauge("relatrust_store_quarantined_total", "Corrupt snapshots quarantined.", float64(body.Store.Quarantined))
+		metric("relatrust_store_saves_total", "Dataset snapshots written.", float64(body.Store.Saves))
+		metric("relatrust_store_loads_total", "Dataset snapshots loaded.", float64(body.Store.Loads))
+		metric("relatrust_store_quarantined_total", "Corrupt snapshots quarantined.", float64(body.Store.Quarantined))
 	}
 
 	perDataset := []struct {
@@ -66,7 +75,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"relatrust_components_dirtied_total", "Conflict components whose memoized cover state mutations invalidated.", func(d DatasetStatz) float64 { return float64(d.ComponentsDirtied) }},
 	}
 	for _, m := range perDataset {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", m.name, m.help, m.name)
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, typeOf(m.name))
 		// %q escapes backslash and quote exactly as the exposition format
 		// wants; newlines cannot occur in dataset names by validation.
 		for _, d := range body.Datasets {

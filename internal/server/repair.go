@@ -15,7 +15,6 @@ import (
 	"relatrust/internal/faultinject"
 	"relatrust/internal/jobs"
 	"relatrust/internal/report"
-	"relatrust/internal/weights"
 )
 
 // RepairRequest is the JSON body shared by the repair-family endpoints.
@@ -140,7 +139,7 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request) (repairCall, bo
 		writeErrorCode(w, http.StatusBadRequest, codeBadFDs, "parsing FDs: %v", err)
 		return c, false
 	}
-	opt, err := s.options(c.ds, req, c.in, sess)
+	opt, err := s.options(c.ds, req, sess)
 	if err != nil {
 		writeErrorCode(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return c, false
@@ -155,9 +154,10 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request) (repairCall, bo
 
 // options maps the request onto relatrust.Options over the pinned
 // snapshot's session, wiring the progress hook that feeds /statz and
-// Options.Observe. in must be the instance of the same snapshot, so the
-// weighting describes the rows the sweep actually repairs.
-func (s *Server) options(d *dataset, req RepairRequest, in *relatrust.Instance, sess *relatrust.Session) (relatrust.Options, error) {
+// Options.Observe. A named weighting is the session's shared memo, so it
+// describes the rows the sweep actually repairs and stays warm across the
+// requests served from one snapshot.
+func (s *Server) options(d *dataset, req RepairRequest, sess *relatrust.Session) (relatrust.Options, error) {
 	opt := relatrust.Options{
 		BestFirst:        req.BestFirst,
 		Seed:             req.Seed,
@@ -171,7 +171,7 @@ func (s *Server) options(d *dataset, req RepairRequest, in *relatrust.Instance, 
 		opt.Workers = s.opt.Workers
 	}
 	if req.Weights != "" {
-		w, err := weights.ByName(req.Weights, in)
+		w, err := sess.Weights(req.Weights)
 		if err != nil {
 			return opt, err
 		}

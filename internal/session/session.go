@@ -42,6 +42,7 @@ import (
 	"relatrust/internal/conflict"
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
+	"relatrust/internal/weights"
 )
 
 // Engine owns one instance and the cached root analyses built against it.
@@ -68,6 +69,11 @@ type Engine struct {
 	// answers for exactly one snapshot: a live-dataset mutation builds a
 	// new engine and therefore a fresh, empty store.
 	parts *relation.PartitionStore
+
+	// memos holds one shared weight memo per canonical weighting name,
+	// built on first use. Weights price the engine's instance, so like
+	// the partition store they answer for this snapshot only.
+	memos map[string]*weights.Memo
 }
 
 // rootEntry is one cached root: identified by its FD set (compared
@@ -262,6 +268,32 @@ func (e *Engine) Partitions() *relation.PartitionStore {
 		e.parts = relation.NewPartitionStore()
 	}
 	return e.parts
+}
+
+// Weights returns the engine's shared memo for the named weighting (any
+// name weights.ByName accepts), building it on first use. Every search
+// over the engine's snapshot prices extensions through this one memo, so
+// a weight is computed once per snapshot instead of once per request.
+func (e *Engine) Weights(name string) (*weights.Memo, error) {
+	canon, err := weights.Canonical(name)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if m := e.memos[canon]; m != nil {
+		return m, nil
+	}
+	w, err := weights.ByName(canon, e.In)
+	if err != nil {
+		return nil, err
+	}
+	if e.memos == nil {
+		e.memos = make(map[string]*weights.Memo)
+	}
+	m := weights.NewMemo(w)
+	e.memos[canon] = m
+	return m, nil
 }
 
 // Stats reports engine effort: how many analyses were handed out and how

@@ -207,3 +207,31 @@ func TestWarmAcquireWithCoverCache(t *testing.T) {
 		eng.Release(a)
 	}
 }
+
+// TestWeightsOneMemoPerName: every name for a weighting resolves to the
+// engine's one memo, and a second engine over the same rows (a new
+// snapshot) starts its own.
+func TestWeightsOneMemoPerName(t *testing.T) {
+	in, _ := testkit.Paper4x4()
+	e := New(in)
+	a, err := e.Weights("distinct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.Weights("distinct-count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Error("aliases of one weighting got two memos")
+	}
+	if c, _ := e.Weights(""); c == a || c.Name() != "attr-count" {
+		t.Errorf("Weights(\"\") = %v, want a separate attr-count memo", c)
+	}
+	if d, _ := New(in).Weights("distinct-count"); d == a {
+		t.Error("two engines share a memo")
+	}
+	if _, err := e.Weights("nope"); err == nil {
+		t.Error("unknown weighting must fail")
+	}
+}

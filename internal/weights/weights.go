@@ -132,18 +132,34 @@ func VectorCost(w Func, ext []relation.AttrSet) float64 {
 	return total
 }
 
+// Canonical returns the report name of the weighting a name selects,
+// resolving the short aliases ByName accepts.
+func Canonical(name string) (string, error) {
+	switch name {
+	case "attr-count", "count", "":
+		return "attr-count", nil
+	case "distinct-count", "distinct":
+		return "distinct-count", nil
+	case "entropy", "mdl":
+		return name, nil
+	}
+	return "", fmt.Errorf("weights: unknown weighting %q (want attr-count, distinct-count, entropy, or mdl)", name)
+}
+
 // ByName constructs a weighting by its report name; instance-backed
 // weightings are bound to in.
 func ByName(name string, in *relation.Instance) (Func, error) {
-	switch name {
-	case "attr-count", "count", "":
-		return AttrCount{}, nil
-	case "distinct-count", "distinct":
+	canon, err := Canonical(name)
+	if err != nil {
+		return nil, err
+	}
+	switch canon {
+	case "distinct-count":
 		return NewDistinctCount(in), nil
 	case "entropy":
 		return NewEntropy(in), nil
 	case "mdl":
 		return NewMDL(in), nil
 	}
-	return nil, fmt.Errorf("weights: unknown weighting %q (want attr-count, distinct-count, entropy, or mdl)", name)
+	return AttrCount{}, nil
 }

@@ -193,10 +193,17 @@ type SessionStats = session.Stats
 // call concurrently with repair calls using the session.
 func (s *Session) Stats() SessionStats { return s.eng.Stats() }
 
+// Weights returns the session's shared weighting for a name: attr-count,
+// distinct-count, entropy or mdl (aliases count and distinct). Every call
+// with the same name returns the same concurrency-safe memo, so repairs
+// over the session price each LHS extension once.
+func (s *Session) Weights(name string) (WeightFunc, error) { return s.eng.Weights(name) }
+
 // Options tunes the repair entry points.
 type Options struct {
-	// Weights prices LHS extensions. Nil selects DistinctCountWeights on
-	// the input instance — the paper's experimental choice.
+	// Weights prices LHS extensions. Nil selects distinct-count weights on
+	// the input instance — the paper's experimental choice — shared through
+	// the session (see Session.Weights).
 	Weights WeightFunc
 	// BestFirst disables the A* heuristic (mainly for comparison runs).
 	BestFirst bool
@@ -240,7 +247,7 @@ type Options struct {
 func (o Options) config(in *Instance) repair.Config {
 	w := o.Weights
 	if w == nil {
-		w = weights.NewDistinctCount(in)
+		w = o.defaultWeights(in)
 	}
 	return repair.Config{
 		Weights: w,
@@ -256,6 +263,16 @@ func (o Options) config(in *Instance) repair.Config {
 		Progress:   o.Progress,
 		Generation: o.Generation,
 	}
+}
+
+// defaultWeights is distinct-count over in: the session's shared memo
+// when the session is bound to in, else a private weighting.
+func (o Options) defaultWeights(in *Instance) WeightFunc {
+	if eng := o.engine(); eng != nil && eng.In == in {
+		w, _ := eng.Weights("distinct-count") // a known name cannot fail
+		return w
+	}
+	return weights.NewDistinctCount(in)
 }
 
 // engine returns the session engine selected by the options, or nil.
