@@ -448,12 +448,43 @@ func BenchmarkAnalysisFork(b *testing.B) {
 // BenchmarkRepairData measures materializing a data repair.
 func BenchmarkRepairData(b *testing.B) {
 	in, sigma := benchWorkload(b, 2000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := repair.RepairData(in, sigma, nil, int64(i), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRepairDataBlocked measures the data repairs of one blocked
+// frontier at n=12k, the shape of the serving benchmark's blocked_frontier
+// workload: every frontier point's Σ′ is repaired with the cover the search
+// found for it, so the op is the data-repair half of a streamed frontier.
+// The instance is long-lived, as a session's is, so its code columns are
+// warm after the first iteration.
+func BenchmarkRepairDataBlocked(b *testing.B) {
+	in, sigma := benchBlockWorkload(b, 12000)
+	an := conflict.New(in, sigma)
+	s := search.NewSearcher(an, weights.NewDistinctCount(in), search.DefaultOptions())
+	frontier, err := s.FindRange(context.Background(), 0, s.DeltaPOriginal())
+	if err != nil {
+		b.Fatal(err)
+	}
+	covers := make([][]int32, len(frontier))
+	for i, res := range frontier {
+		covers[i] = an.Cover(res.State)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, res := range frontier {
+			if _, err := repair.RepairData(in, res.Sigma, covers[j], int64(i), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(frontier)), "points")
 }
 
 // BenchmarkSuggestRepairs measures the full public-API pipeline — analyze,

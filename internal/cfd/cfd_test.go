@@ -253,3 +253,44 @@ func TestNewValidatesPattern(t *testing.T) {
 		t.Error("pattern on a non-LHS attribute must fail")
 	}
 }
+
+// TestRepairFreshVariablesAvoidInput repairs a V-instance that already
+// holds variables ?v1…?v3 in tuples no violation involves, so the repair
+// never adopts them. It writes fresh variables into changed cells on some
+// seeds; none may be numbered like an input variable, which it would
+// equal.
+func TestRepairFreshVariablesAvoidInput(t *testing.T) {
+	in := testkit.Build([]string{"CC", "ZIP", "City"}, [][]string{
+		{"US", "62701", "Springfield"},
+		{"US", "62701", "Springfeld"},
+		{"US", "_", "_"},
+		{"US", "_", "NYC"},
+	})
+	var vg relation.VarGen
+	in.Tuples[2][1], in.Tuples[2][2] = vg.Fresh(), vg.Fresh()
+	in.Tuples[3][1] = vg.Fresh()
+	set, _ := ParseSet(in.Schema, "CC,ZIP->City | US,_; CC,City->ZIP | US,_")
+	fresh := 0
+	for seed := int64(1); seed <= 30; seed++ {
+		r, err := RepairWithBudget(context.Background(), in, set, 10, Config{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == nil || !r.Set.SatisfiedBy(r.Instance) {
+			t.Fatalf("seed %d: no valid repair", seed)
+		}
+		for _, c := range r.Changed {
+			v := r.Instance.Tuples[c.Tuple][c.Attr]
+			if !v.IsVar() {
+				continue
+			}
+			if v.VarID() <= 3 {
+				t.Fatalf("seed %d: changed cell %v holds %v, numbered like an input variable", seed, c, v)
+			}
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("no seed wrote a fresh variable; the test exercises nothing")
+	}
+}

@@ -165,7 +165,7 @@ func singleViolators(in *relation.Instance, set Set) []int32 {
 func materialize(in *relation.Instance, set Set, cover, singles []int32, seed int64) (*relation.Instance, []relation.CellRef, error) {
 	out := in.Clone()
 	rng := rand.New(rand.NewSource(seed))
-	var vg relation.VarGen
+	vg := relation.VarGenAfter(in)
 
 	dirty := make(map[int32]bool, len(cover)+len(singles))
 	for _, t := range cover {

@@ -71,7 +71,7 @@ func trySubsets(in *relation.Instance, sigma fd.Set, cells []relation.CellRef, c
 		idx[i] = i
 	}
 	work := in.Clone()
-	var vg relation.VarGen
+	vg := relation.VarGenAfter(in)
 	for {
 		if w := tryAssignments(work, in, sigma, cells, candidates, idx, 0, &vg); w != nil {
 			return w

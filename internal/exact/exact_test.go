@@ -6,6 +6,7 @@ import (
 
 	"relatrust/internal/conflict"
 	"relatrust/internal/fd"
+	"relatrust/internal/relation"
 	"relatrust/internal/repair"
 	"relatrust/internal/testkit"
 )
@@ -113,5 +114,29 @@ func TestTheorem3EndToEnd(t *testing.T) {
 	}
 	if checked < 20 {
 		t.Fatalf("only %d violating instances checked; generator too clean", checked)
+	}
+}
+
+// TestDeltaOptFreshVariablesAvoidInput: the cheapest repair of the first
+// pair breaks its A agreement with a fresh variable. The input already
+// holds ?v1 in column A; a fresh variable numbered like it would equal it,
+// re-creating a violation with the third tuple, so the search must number
+// its variables above the input's.
+func TestDeltaOptFreshVariablesAvoidInput(t *testing.T) {
+	in := testkit.Build([]string{"A", "B"}, [][]string{{"1", "x"}, {"1", "y"}, {"_", "z"}})
+	var vg relation.VarGen
+	held := vg.Fresh()
+	in.Tuples[2][0] = held
+	sigma := fd.MustParseSet(in.Schema, "A->B")
+	d, witness, err := DeltaOpt(in, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != 1 || !sigma.SatisfiedBy(witness) {
+		t.Fatalf("δopt = %d, want 1 with a valid witness", d)
+	}
+	got := witness.Tuples[0][0]
+	if !got.IsVar() || got.Equal(held) {
+		t.Fatalf("witness t0[A] = %v, want a fresh variable other than the input's %v", got, held)
 	}
 }

@@ -9,15 +9,19 @@ package relation
 //     two cells receive the same code iff Value.Equal holds.
 //   - Instance.Codes(a) lazily materializes the code column of attribute a.
 //     Columns are cached on the instance and dropped by Clone, so a cloned
-//     instance that is subsequently mutated never sees stale codes.
+//     instance that is subsequently mutated never sees stale codes. A
+//     long-lived instance (a session's) keeps its columns warm across
+//     requests; the data repairs key their clean index by them and install
+//     value-derived columns on their output with SetCodes.
 //   - Partitioner refines tuple groups one attribute at a time by direct
 //     code indexing — a radix-style scatter into epoch-versioned scratch
 //     arrays, no hashing — and is allocation-free once its buffers have
 //     grown to the working-set size.
 //   - ProjCoder interns projections of standalone tuples (tuples under
 //     construction, not rows of an instance) to a single int32 via pair
-//     interning, replacing string projection keys in the clean indexes of
-//     the repair algorithms.
+//     interning over per-attribute Dicts, replacing string projection keys
+//     in the CFD repair's clean index and the incremental and live group
+//     indexes.
 
 import (
 	"math/bits"
@@ -372,10 +376,11 @@ func NewDicts(width int) []*Dict {
 
 // ProjCoder interns the projection of standalone tuples on a fixed
 // attribute set X to a single int32: two tuples receive the same code iff
-// they agree (cell-wise Equal) on every attribute of X. It replaces the
-// string keys of the repair clean indexes. Coding folds per-attribute value
-// codes through a pair-interning table, so a code computation is |X| map
-// probes of comparable keys — no string building, no allocation.
+// they agree (cell-wise Equal) on every attribute of X. It replaces string
+// projection keys in the CFD clean index and the incremental and live
+// group indexes. Coding folds per-attribute value codes through a
+// pair-interning table, so a code computation is |X| map probes of
+// comparable keys — no string building, no allocation.
 //
 // Final codes are only meaningful relative to the coder that produced them
 // (and only for full-length projections; prefix path codes share the same

@@ -94,15 +94,41 @@ func (in *Instance) AppendConsts(vals ...string) error {
 	return nil
 }
 
-// Clone returns a deep copy (tuples and cells). Cached code columns are
-// not carried over: a clone that is subsequently mutated starts from an
-// empty cache and can never observe stale codes.
+// Clone returns a deep copy (tuples and cells). The cells of all tuples
+// are copied into one flat array, and each tuple of the clone is a
+// capacity-capped sub-slice of it: one allocation for the cells however
+// many tuples there are, and appending to one tuple can never overwrite
+// its neighbour. Cached code columns are not carried over: a clone that is
+// subsequently mutated starts from an empty cache and can never observe
+// stale codes.
 func (in *Instance) Clone() *Instance {
 	out := &Instance{Schema: in.Schema, Tuples: make([]Tuple, len(in.Tuples))}
+	total := 0
+	for _, t := range in.Tuples {
+		total += len(t)
+	}
+	cells := make([]Value, total)
 	for i, t := range in.Tuples {
-		out.Tuples[i] = t.Clone()
+		n := copy(cells, t)
+		out.Tuples[i] = Tuple(cells[:n:n])
+		cells = cells[n:]
 	}
 	return out
+}
+
+// MaxVarID returns the largest variable ID occurring in the instance, or 0
+// if it holds no variables. A VarGen started there (VarGenAfter) never
+// hands out a variable the instance already holds.
+func (in *Instance) MaxVarID() int64 {
+	var m int64
+	for _, t := range in.Tuples {
+		for _, v := range t {
+			if v.isVar && v.id > m {
+				m = v.id
+			}
+		}
+	}
+	return m
 }
 
 // Project returns the values of tuple i on the attributes of X, joined into

@@ -70,6 +70,37 @@ func TestInstanceCloneIsDeep(t *testing.T) {
 	if in.Tuples[0][0].Str() != "1" {
 		t.Error("Clone shares cell storage with the original")
 	}
+	// The clone's tuples are capacity-capped views of one cell array:
+	// growing one must reallocate it, never write into its neighbour.
+	for i, tup := range cp.Tuples {
+		if cap(tup) != len(tup) {
+			t.Fatalf("tuple %d: cap %d, len %d", i, cap(tup), len(tup))
+		}
+	}
+	grown := append(cp.Tuples[0], Const("extra"))
+	grown[1] = Const("grown")
+	if !cp.Tuples[1].Equal(in.Tuples[1]) || !cp.Tuples[0][1].Equal(in.Tuples[0][1]) {
+		t.Error("appending to a cloned tuple changed the clone")
+	}
+}
+
+func TestVarGenAfterSkipsInstanceVariables(t *testing.T) {
+	in := small(t)
+	if in.MaxVarID() != 0 {
+		t.Fatalf("MaxVarID of a constant instance = %d, want 0", in.MaxVarID())
+	}
+	if g := VarGenAfter(in); g.Fresh().String() != "?v1" {
+		t.Error("on a constant instance VarGenAfter must start at ?v1")
+	}
+	var g VarGen
+	for i := 0; i < 6; i++ {
+		g.Fresh()
+	}
+	in.Tuples[1][0] = g.Fresh() // ?v7
+	after := VarGenAfter(in)
+	if v := after.Fresh(); v.VarID() != 8 || after.Count() != 1 {
+		t.Errorf("first variable after ?v7 = %v (count %d), want ?v8 (count 1)", v, after.Count())
+	}
 }
 
 func TestProjectDistinguishesGroups(t *testing.T) {

@@ -70,11 +70,24 @@ func (v Value) String() string {
 	return v.s
 }
 
-// VarGen hands out variables with process-unique IDs. The zero VarGen is
-// ready to use. VarGen is not safe for concurrent use; each repair run owns
-// its own generator.
+// VarGen hands out variables with increasing IDs, starting at ?v1 for the
+// zero VarGen. IDs are unique per generator, not per process: two zero
+// generators hand out the same variables. A repair of an instance that
+// may already hold variables (a repaired instance passed back in) must
+// start its generator above them with VarGenAfter, or a "fresh" variable
+// could equal a cell of the input. VarGen is not safe for concurrent use;
+// each repair run owns its own generator.
 type VarGen struct {
-	next int64
+	next  int64
+	start int64
+}
+
+// VarGenAfter returns a generator whose variables all have IDs above the
+// largest variable ID of in, so none equals a variable the instance holds.
+// On an instance without variables it is the zero VarGen.
+func VarGenAfter(in *Instance) VarGen {
+	m := in.MaxVarID()
+	return VarGen{next: m, start: m}
 }
 
 // Fresh returns a brand-new variable, distinct from every variable returned
@@ -85,4 +98,4 @@ func (g *VarGen) Fresh() Value {
 }
 
 // Count returns how many variables have been handed out.
-func (g *VarGen) Count() int64 { return g.next }
+func (g *VarGen) Count() int64 { return g.next - g.start }

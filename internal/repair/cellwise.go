@@ -36,26 +36,20 @@ func RepairDataCellwise(in *relation.Instance, sigma fd.Set, cover []int32, seed
 		eng.Release(an)
 	}
 	out := in.Clone()
+	ci := newCleanIndex(in, out, sigma, cover)
 	rng := rand.New(rand.NewSource(seed))
-	var vg relation.VarGen
+	order := shuffled(rng, cover)
 
-	inCover := make(map[int32]bool, len(cover))
-	for _, t := range cover {
-		inCover[t] = true
-	}
-	ci := newCleanIndex(out, sigma, inCover)
-
-	order := append([]int32(nil), cover...)
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-
+	code := make([]int32, in.Schema.Width())
 	var changed []relation.CellRef
 	for _, ti := range order {
 		t := out.Tuples[ti]
+		ci.codesOf(ti, code)
 		var forced relation.AttrSet // RHS cells already copied once
 		steps := 0
 		maxSteps := 2 * len(t) * (len(sigma) + 1)
 		for {
-			fi, v, found := ci.violation(t)
+			fi, e, found := ci.violation(code)
 			if !found {
 				break
 			}
@@ -65,8 +59,8 @@ func RepairDataCellwise(in *relation.Instance, sigma fd.Set, cover []int32, seed
 			f := sigma[fi]
 			if !forced.Contains(f.RHS) {
 				// First resolution for this RHS: adopt the clean value.
-				if !t[f.RHS].Equal(v) {
-					t[f.RHS] = v
+				if v := ci.rows[e.tuple][f.RHS]; !t[f.RHS].Equal(v) {
+					t[f.RHS], code[f.RHS] = v, e.rhs
 					changed = append(changed, relation.CellRef{Tuple: int(ti), Attr: f.RHS})
 				}
 				forced = forced.Add(f.RHS)
@@ -76,15 +70,13 @@ func RepairDataCellwise(in *relation.Instance, sigma fd.Set, cover []int32, seed
 			// the LHS agreement instead, choosing a random LHS cell.
 			attrs := f.LHS.Attrs()
 			b := attrs[rng.Intn(len(attrs))]
-			t[b] = vg.Fresh()
+			t[b], code[b] = ci.fresh(b)
 			changed = append(changed, relation.CellRef{Tuple: int(ti), Attr: b})
 		}
-		ci.add(t)
+		ci.add(ti, code)
 	}
-	out.InvalidateCodes() // the loop above rewrote cells in place
-	if v := sigma.FirstViolation(out); v != nil {
-		return nil, fmt.Errorf("repair: cellwise repair left a violation of %s between tuples %d and %d",
-			sigma[v.FD], v.T1, v.T2)
+	if err := checkRepair(in, out, sigma); err != nil {
+		return nil, err
 	}
 	return &DataRepair{Instance: out, Changed: dedupCells(changed), Cover: cover}, nil
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // refCleanIndex is the seed's string-keyed clean index, kept as the
-// equivalence oracle for the ProjCoder-based cleanIndex: same adds, same
-// violations, on tuple streams mixing constants, shared variables, and the
-// fresh variables findAssignment generates.
+// equivalence oracle for the code-keyed cleanIndex: same adds, same
+// violations, on tuples mixing constants, shared variables, and the fresh
+// variables findAssignment generates.
 type refCleanIndex struct {
 	sigma fd.Set
 	idx   []map[string]relation.Value
@@ -53,9 +53,15 @@ func (r *refCleanIndex) violation(tc relation.Tuple) (int, relation.Value, bool)
 	return 0, relation.Value{}, false
 }
 
-// TestQuickCleanIndexMatchesStringReference drives the code-based
+// TestQuickCleanIndexMatchesStringReference drives the code-keyed
 // cleanIndex and the string-keyed reference through identical random
-// add/violation interleavings and asserts identical answers at every step.
+// interleavings and asserts identical answers at every step. As in the
+// repair loop, the index starts from the rows outside a random cover;
+// cover rows are then rewritten in place — cells replaced by fresh
+// variables (coded past the column's range) or by another row's cell
+// (carrying its code) — probed, and registered as clean, after which they
+// never change again. Rows hold constants and variables shared across
+// rows, and some FDs have an empty LHS.
 func TestQuickCleanIndexMatchesStringReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -65,21 +71,20 @@ func TestQuickCleanIndexMatchesStringReference(t *testing.T) {
 			names[i] = string(rune('A' + i))
 		}
 		schema := relation.MustSchema(names...)
-		in := relation.NewInstance(schema)
 
 		nfd := 1 + rng.Intn(3)
 		sigma := make(fd.Set, 0, nfd)
 		for len(sigma) < nfd {
 			rhs := rng.Intn(width)
-			lhs := relation.NewAttrSet((rhs + 1) % width)
-			if rng.Intn(2) == 0 {
-				lhs = lhs.Add((rhs + 2) % width)
+			var lhs relation.AttrSet
+			if rng.Intn(6) > 0 {
+				lhs = relation.NewAttrSet((rhs + 1) % width)
+				if rng.Intn(2) == 0 {
+					lhs = lhs.Add((rhs + 2) % width)
+				}
 			}
 			sigma = append(sigma, fd.MustNew(lhs, rhs))
 		}
-
-		ci := newCleanIndex(in, sigma, nil) // empty instance: index built incrementally below
-		ref := newRefCleanIndex(sigma)
 
 		var vg relation.VarGen
 		shared := []relation.Value{vg.Fresh(), vg.Fresh()}
@@ -97,22 +102,64 @@ func TestQuickCleanIndexMatchesStringReference(t *testing.T) {
 			}
 			return tp
 		}
-
-		for step := 0; step < 60; step++ {
-			tp := mk()
-			gi, gv, gok := ci.violation(tp)
-			wi, wv, wok := ref.violation(tp)
-			if gok != wok || gi != wi || !gv.Equal(wv) {
+		in := relation.NewInstance(schema)
+		for i := 0; i < 40; i++ {
+			if err := in.Append(mk()); err != nil {
 				return false
 			}
-			if rng.Intn(2) == 0 {
-				ci.add(tp)
-				ref.add(tp)
+		}
+		out := in.Clone()
+		inCover := make([]bool, in.N())
+		var cover []int32
+		for i := range inCover {
+			if inCover[i] = rng.Intn(2) == 0; inCover[i] {
+				cover = append(cover, int32(i))
+			}
+		}
+		ci := newCleanIndex(in, out, sigma, cover)
+		ref := newRefCleanIndex(sigma)
+		codes := make([][]int32, in.N())
+		for r := range codes {
+			codes[r] = make([]int32, width)
+			ci.codesOf(int32(r), codes[r])
+			if !inCover[r] {
+				ref.add(out.Tuples[r])
+			}
+		}
+
+		same := func(r int) bool {
+			gi, ge, gok := ci.violation(codes[r])
+			wi, wv, wok := ref.violation(out.Tuples[r])
+			if gok != wok || gi != wi {
+				return false
+			}
+			return !gok || ci.rows[ge.tuple][sigma[gi].RHS].Equal(wv)
+		}
+		for step := 0; step < 60; step++ {
+			r := rng.Intn(in.N())
+			if inCover[r] {
+				for a := 0; a < width; a++ {
+					switch rng.Intn(4) {
+					case 0:
+						out.Tuples[r][a], codes[r][a] = ci.fresh(a)
+					case 1:
+						u := rng.Intn(in.N())
+						out.Tuples[r][a], codes[r][a] = out.Tuples[u][a], codes[u][a]
+					}
+				}
+			}
+			if !same(r) {
+				return false
+			}
+			if inCover[r] && rng.Intn(2) == 0 {
+				ci.add(int32(r), codes[r])
+				ref.add(out.Tuples[r])
+				inCover[r] = false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

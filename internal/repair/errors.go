@@ -24,6 +24,12 @@ var (
 	// cell-change budget — the paper's (φ, φ) answer. Returned as a
 	// *BudgetError carrying τ.
 	ErrNoRepairInBudget = errors.New("repair: no FD relaxation fits the cell-change budget")
+	// ErrNotVertexCover reports a data repair whose cover is not a vertex
+	// cover of Σ′'s conflict graph, so rewriting only its tuples cannot
+	// remove every violation. The wrapping error says what gave it away: a
+	// tuple with no valid assignment, or a violation the safety check
+	// found after the rewrite.
+	ErrNotVertexCover = errors.New("repair: the cover is not a vertex cover")
 )
 
 // SchemaMismatchError identifies the FD that refers outside the schema.

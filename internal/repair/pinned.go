@@ -2,7 +2,6 @@ package repair
 
 import (
 	"fmt"
-	"math/rand"
 
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
@@ -37,65 +36,5 @@ func RepairDataPinned(in *relation.Instance, sigma fd.Set, pinned map[relation.C
 	}
 	cover := an.CoverAvoiding(nil, func(t int32) bool { return hasPin[t] })
 	eng.Release(an)
-	out := in.Clone()
-	rng := rand.New(rand.NewSource(seed))
-	var vg relation.VarGen
-
-	inCover := make(map[int32]bool, len(cover))
-	for _, t := range cover {
-		inCover[t] = true
-	}
-	ci := newCleanIndex(out, sigma, inCover)
-
-	pinnedAttrsOf := func(ti int32) relation.AttrSet {
-		var s relation.AttrSet
-		for a := 0; a < in.Schema.Width(); a++ {
-			if pinned[relation.CellRef{Tuple: int(ti), Attr: a}] {
-				s = s.Add(a)
-			}
-		}
-		return s
-	}
-
-	order := append([]int32(nil), cover...)
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-
-	width := in.Schema.Width()
-	tc, try := make(relation.Tuple, width), make(relation.Tuple, width) // see RepairData
-	var changed []relation.CellRef
-	for _, ti := range order {
-		t := out.Tuples[ti]
-		pin := pinnedAttrsOf(ti)
-		attrs := rng.Perm(width)
-
-		fixed := pin
-		if fixed.IsEmpty() {
-			fixed = relation.NewAttrSet(attrs[0])
-		}
-		if !ci.findAssignment(t, fixed, &vg, tc) {
-			return nil, fmt.Errorf("repair: tuple %d cannot be repaired: its pinned cells %s conflict with the clean part of the instance",
-				ti, pin)
-		}
-		for _, a := range attrs {
-			if fixed.Contains(a) {
-				continue
-			}
-			fixed = fixed.Add(a)
-			if ci.findAssignment(t, fixed, &vg, try) {
-				tc, try = try, tc
-				continue
-			}
-			if !t[a].Equal(tc[a]) {
-				t[a] = tc[a]
-				changed = append(changed, relation.CellRef{Tuple: int(ti), Attr: a})
-			}
-		}
-		ci.add(t)
-	}
-	out.InvalidateCodes() // the loop above rewrote cells in place
-	if v := sigma.FirstViolation(out); v != nil {
-		return nil, fmt.Errorf("repair: instance still violates %s between tuples %d and %d after pinned repair",
-			sigma[v.FD], v.T1, v.T2)
-	}
-	return &DataRepair{Instance: out, Changed: changed, Cover: cover}, nil
+	return repairTuples(in, sigma, cover, pinned, seed)
 }
