@@ -288,6 +288,46 @@ func BenchmarkFDSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSearcher measures preparing a searcher for one request at
+// the n=10k census workload, as repair.NewSession does: acquire an
+// analysis, wire the shared component evaluator and weight memo, and build
+// the searcher. warm reuses one session engine, so its root analysis
+// stays cached across operations (a served dataset's steady state); cold
+// builds a fresh root per operation outside the timer (the first request
+// after a live mutation), so the timed part is what a new snapshot pays
+// before its first search.
+func BenchmarkNewSearcher(b *testing.B) {
+	in, sigma := benchWorkload(b, 10000)
+	w := weights.NewMemo(weights.NewDistinctCount(in))
+	b.Run("warm", func(b *testing.B) {
+		eng := session.New(in)
+		ev := eng.CoverEvaluator(sigma)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			an := eng.Acquire(sigma)
+			benchSearcher = search.NewSearcher(an, w, search.Options{Decomp: ev})
+			eng.Release(an)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			eng := session.New(in)
+			ev := eng.CoverEvaluator(sigma)
+			b.StartTimer()
+			an := eng.Acquire(sigma)
+			benchSearcher = search.NewSearcher(an, w, search.Options{Decomp: ev})
+			eng.Release(an)
+		}
+	})
+}
+
+// benchSearcher keeps BenchmarkNewSearcher's result live.
+var benchSearcher *search.Searcher
+
 // benchBlockWorkload builds an n-row instance whose Blk,A->B violations
 // stay inside 4-row blocks, so the conflict graph decomposes into ~n/4
 // small components — the shape the component decomposition is built for

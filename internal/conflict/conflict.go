@@ -27,7 +27,8 @@
 // immutable code columns and dictionary, and the cluster arenas — all
 // read-only after New — while owning private partitioner scratch, matched
 // marks, and cover buffers, so queries on different forks never touch the
-// same mutable memory. Queries are deterministic: any fork returns
+// same mutable memory outside the mutex-guarded per-root memo described
+// below. Queries are deterministic: any fork returns
 // bit-identical covers for the same extension vector. Release returns a
 // fork's scratch to a pool shared by every fork of the same analysis, so a
 // search run that repeatedly forks (one fork per worker, per search)
@@ -41,6 +42,21 @@
 // or off. The session engine (internal/session) pools whole analyses the
 // same way across repair sessions: roots cached per FD set, forks handed
 // out and recycled.
+//
+// # Per-root preparation
+//
+// What a searcher prepares from — the difference sets (DiffSets), the
+// matching sample behind the knapsack bound (MatchingEdgeSample), the
+// permanent matching (PermanentMatching) and δP(Σ, I)'s cover size
+// (BaseCoverSize) — depends only on (I, Σ) and a sampling cap, never on a
+// request. A root and all its forks therefore share one memo of these
+// results: the first fork to ask builds the entry on its own scratch
+// while holding the memo's mutex, and every later caller, on any fork,
+// gets the same read-only value. New, NewFiltered and NewFromClusters each
+// start an empty memo, so the roots of successive live generations never
+// share one and nothing stale survives a mutation. The memo lives exactly
+// as long as its root: a session engine's cached roots keep theirs for
+// the engine's (that is, the snapshot's) lifetime.
 package conflict
 
 import (
@@ -62,9 +78,12 @@ type Edge struct {
 // to a base FD set, and answers vertex-cover and difference-set queries for
 // arbitrary LHS-extension vectors over that base set.
 //
-// An Analysis is immutable after New and safe for concurrent readers except
-// for the scratch buffers used by Cover*; callers that share an Analysis
-// across goroutines must give each goroutine its own Analysis.
+// An Analysis is single-goroutine: its clusters are immutable after New,
+// but every query runs on per-analysis scratch, so callers that share an
+// analysis across goroutines give each goroutine its own Fork. The
+// per-root memo (see prep) is the one piece of state forks share that is
+// written after New; it is filled once per entry under its own mutex and
+// lives exactly as long as the root and its forks.
 type Analysis struct {
 	In    *relation.Instance
 	Sigma fd.Set
@@ -102,6 +121,55 @@ type Analysis struct {
 	// so repeated Fork/Release cycles (one per search run) reuse the
 	// per-fork scratch instead of reallocating it.
 	forkPool *sync.Pool
+
+	// prep memoizes the request-independent query results of the root;
+	// shared by every fork.
+	prep *prep
+
+	// partner records, for the cluster being sampled, each matched tuple's
+	// matching partner (valid where matched holds the current epoch).
+	partner []int32
+}
+
+// prep is the per-root memo behind DiffSets, MatchingEdgeSample,
+// PermanentMatching and BaseCoverSize. Values are stored once, only after
+// they are completely built, and are never mutated afterwards.
+type prep struct {
+	mu   sync.Mutex
+	vals map[prepKey]any
+}
+
+// prepKey identifies one memoized query: which one, and its sampling cap
+// (0 for the uncapped queries).
+type prepKey struct {
+	query prepQuery
+	cap   int
+}
+
+type prepQuery uint8
+
+const (
+	queryDiffSets prepQuery = iota
+	queryMatchingSample
+	queryPermanentMatching
+	queryBaseCover
+)
+
+// memoized returns the memo entry for k, building it with build on a's
+// scratch on first use. Concurrent callers of any fork wait for the first
+// build; a build that panics stores nothing.
+func (a *Analysis) memoized(k prepKey, build func() any) any {
+	a.prep.mu.Lock()
+	defer a.prep.mu.Unlock()
+	if v, ok := a.prep.vals[k]; ok {
+		return v
+	}
+	v := build()
+	if a.prep.vals == nil {
+		a.prep.vals = make(map[prepKey]any)
+	}
+	a.prep.vals[k] = v
+	return v
 }
 
 // New builds the analysis in O(|Σ|·n) expected time.
@@ -122,6 +190,7 @@ func NewFiltered(in *relation.Instance, sigma fd.Set, filters []func(relation.Tu
 		matched:  make([]int, in.N()),
 		part:     relation.NewPartitioner(in),
 		forkPool: &sync.Pool{},
+		prep:     &prep{},
 	}
 	seed := make([]int32, 0, in.N())
 	for fi, f := range sigma {
@@ -184,7 +253,7 @@ func NewFiltered(in *relation.Instance, sigma fd.Set, filters []func(relation.Tu
 // ≥2 tuples spanning ≥2 distinct RHS codes, members ascending, clusters
 // in ascending order of leading member. The cluster slices are aliased,
 // not copied; the caller must not mutate them while any fork of the
-// analysis is live.
+// analysis is live. The analysis starts with an empty per-root memo.
 func NewFromClusters(in *relation.Instance, sigma fd.Set, clusters [][][]int32) *Analysis {
 	return &Analysis{
 		In:       in,
@@ -193,6 +262,7 @@ func NewFromClusters(in *relation.Instance, sigma fd.Set, clusters [][][]int32) 
 		matched:  make([]int, in.N()),
 		part:     relation.NewPartitioner(in),
 		forkPool: &sync.Pool{},
+		prep:     &prep{},
 	}
 }
 
@@ -213,10 +283,12 @@ func (a *Analysis) N() int { return a.In.N() }
 // Fork returns an Analysis answering the same queries as a, for use on a
 // different goroutine. The fork shares everything immutable — the instance
 // (and its code columns and dictionary, which are built once under the
-// instance's mutex), the FD set, and the cluster arenas — and owns private
-// epoch-versioned scratch (partitioner buffers, matched marks, cover and
-// matching lists), so cover and matching queries on distinct forks are
-// lock-free and never race. Query results are bit-identical across forks.
+// instance's mutex), the FD set, and the cluster arenas — plus the root's
+// mutex-guarded memo (see Per-root preparation in the package doc), and
+// owns private epoch-versioned scratch (partitioner buffers, matched
+// marks, cover and matching lists), so cover and matching queries on
+// distinct forks are lock-free and never race. Query results are
+// bit-identical across forks.
 //
 // Forks are recycled: Fork first tries the pool fed by Release, so a
 // workload that forks repeatedly (a worker pool per search run) pays the
@@ -233,6 +305,7 @@ func (a *Analysis) Fork() *Analysis {
 		matched:  make([]int, a.In.N()),
 		part:     relation.NewPartitioner(a.In),
 		forkPool: a.forkPool,
+		prep:     a.prep,
 	}
 }
 
@@ -271,6 +344,14 @@ func (a *Analysis) ViolatingTuples() int {
 // (ext[i] is appended to the LHS of FD i; a nil ext means Σ′ = Σ).
 func (a *Analysis) CoverSize(ext []relation.AttrSet) int {
 	return len(a.cover(ext))
+}
+
+// BaseCoverSize returns CoverSize(nil), |C2opt(Σ, I)|, computed once per
+// root and shared by every fork (α times it is δP(Σ, I)).
+func (a *Analysis) BaseCoverSize() int {
+	return a.memoized(prepKey{query: queryBaseCover}, func() any {
+		return a.CoverSize(nil)
+	}).(int)
 }
 
 // Cover returns the tuple indices of C2opt(Σ′, I) in increasing order.
@@ -370,14 +451,16 @@ func (a *Analysis) MatchingSize(ext []relation.AttrSet) int {
 // identical on every attribute except some FD's RHS. Multiplied by α it is
 // a hard lower bound on δP(Σ′, I) for every Σ′ ∈ S(Σ) — if it exceeds τ,
 // no τ-constrained repair exists and the search can return φ immediately
-// instead of exhausting the state space.
+// instead of exhausting the state space. It is computed once per root.
 func (a *Analysis) PermanentMatching() int {
-	width := a.In.Schema.Width()
-	ext := make([]relation.AttrSet, len(a.Sigma))
-	for i, f := range a.Sigma {
-		ext[i] = relation.FullSet(width).Diff(f.LHS).Remove(f.RHS)
-	}
-	return a.MatchingSize(ext)
+	return a.memoized(prepKey{query: queryPermanentMatching}, func() any {
+		width := a.In.Schema.Width()
+		ext := make([]relation.AttrSet, len(a.Sigma))
+		for i, f := range a.Sigma {
+			ext[i] = relation.FullSet(width).Diff(f.LHS).Remove(f.RHS)
+		}
+		return a.MatchingSize(ext)
+	}).(int)
 }
 
 // refineGroups refines cluster (fi, ci) by the extension attributes y,
@@ -512,8 +595,18 @@ func (a *Analysis) HasViolation(ext []relation.AttrSet) bool {
 // vertex-disjoint, so for any Σ′ ∈ S(Σ) the edges of the sample still
 // violating Σ′ form a matching of Σ′'s conflict graph — their count lower
 // bounds every vertex cover of it. This powers the knapsack half of the
-// A* heuristic.
+// A* heuristic. The sample is computed once per root and cap; the returned
+// slice is shared and must not be modified.
 func (a *Analysis) MatchingEdgeSample(cap int) []Edge {
+	if cap < 0 {
+		cap = 0
+	}
+	return a.memoized(prepKey{query: queryMatchingSample, cap: cap}, func() any {
+		return a.matchingEdgeSample(cap)
+	}).([]Edge)
+}
+
+func (a *Analysis) matchingEdgeSample(cap int) []Edge {
 	a.epoch++
 	var out []Edge
 	for fi, f := range a.Sigma {
@@ -581,40 +674,59 @@ func (d DiffSet) Count() int { return len(d.Edges) }
 // no cap — beware of quadratic blowup), deduplicates pairs that violate
 // several FDs, and groups them by difference set. The result is sorted by
 // descending edge count, then by attribute set, so selection heuristics and
-// reports are deterministic.
+// reports are deterministic. It is computed once per root and cap; the
+// returned slice (and every Edges slice in it) is shared and must not be
+// modified.
 //
 // Sampling keeps every downstream use sound: difference sets and their edge
 // counts feed the A* lower bound gc(S), and an undercounted bound is still
 // a lower bound (Lemma 1's argument applies to any subset of the edges).
 func (a *Analysis) DiffSets(capPerCluster int) []DiffSet {
-	type agg struct {
-		attrs relation.AttrSet
-		edges []Edge
+	if capPerCluster < 0 {
+		capPerCluster = 0
 	}
-	byAttrs := make(map[relation.AttrSet]*agg)
-	seen := make(map[int64]bool)
+	return a.memoized(prepKey{query: queryDiffSets, cap: capPerCluster}, func() any {
+		return a.diffSets(capPerCluster)
+	}).([]DiffSet)
+}
+
+// diffSets builds DiffSets on a's scratch. Difference sets come from the
+// instance's code columns (equal codes iff equal values). A pair sampled
+// under FD i can only have been sampled before under an FD j < i that it
+// violates, which its difference set tells, so only such pairs consult the
+// seen set, and only pairs violating a later FD are recorded in it.
+func (a *Analysis) diffSets(capPerCluster int) []DiffSet {
+	cols := a.codeColumns()
+	var out []DiffSet
+	index := make(map[relation.AttrSet]int)
+	var seen map[int64]struct{}
 	n := int64(a.In.N())
 	for fi, f := range a.Sigma {
 		for _, g := range a.clusters[fi] {
 			a.sampleClusterEdges(g, f.RHS, capPerCluster, func(e Edge) {
-				id := int64(e.T1)*n + int64(e.T2)
-				if seen[id] {
-					return
+				d := pairDiff(cols, e)
+				earlier, later := a.violatedBesides(d, fi)
+				if earlier || later {
+					id := int64(e.T1)*n + int64(e.T2)
+					if _, dup := seen[id]; dup {
+						return
+					}
+					if later {
+						if seen == nil {
+							seen = make(map[int64]struct{})
+						}
+						seen[id] = struct{}{}
+					}
 				}
-				seen[id] = true
-				d := a.In.Tuples[e.T1].DiffSet(a.In.Tuples[e.T2])
-				ag, ok := byAttrs[d]
+				i, ok := index[d]
 				if !ok {
-					ag = &agg{attrs: d}
-					byAttrs[d] = ag
+					i = len(out)
+					index[d] = i
+					out = append(out, DiffSet{Attrs: d})
 				}
-				ag.edges = append(ag.edges, e)
+				out[i].Edges = append(out[i].Edges, e)
 			})
 		}
-	}
-	out := make([]DiffSet, 0, len(byAttrs))
-	for _, ag := range byAttrs {
-		out = append(out, DiffSet{Attrs: ag.attrs, Edges: ag.edges})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if len(out[i].Edges) != len(out[j].Edges) {
@@ -623,6 +735,54 @@ func (a *Analysis) DiffSets(capPerCluster int) []DiffSet {
 		return out[i].Attrs < out[j].Attrs
 	})
 	return out
+}
+
+// EdgeDiffs returns the difference set of each edge's tuple pair — the
+// attributes on which the two tuples disagree — read from the instance's
+// code columns.
+func (a *Analysis) EdgeDiffs(edges []Edge) []relation.AttrSet {
+	cols := a.codeColumns()
+	out := make([]relation.AttrSet, len(edges))
+	for i, e := range edges {
+		out[i] = pairDiff(cols, e)
+	}
+	return out
+}
+
+// codeColumns returns the instance's code column of every attribute.
+func (a *Analysis) codeColumns() [][]int32 {
+	cols := make([][]int32, a.In.Schema.Width())
+	for c := range cols {
+		cols[c], _ = a.In.Codes(c)
+	}
+	return cols
+}
+
+// pairDiff is Tuple.DiffSet over code columns: codes are equal iff the
+// cells' values are.
+func pairDiff(cols [][]int32, e Edge) relation.AttrSet {
+	var d relation.AttrSet
+	for c, col := range cols {
+		if col[e.T1] != col[e.T2] {
+			d = d.Add(c)
+		}
+	}
+	return d
+}
+
+// violatedBesides reports whether a pair with difference set d violates
+// some base FD before fi, and some base FD after it.
+func (a *Analysis) violatedBesides(d relation.AttrSet, fi int) (earlier, later bool) {
+	for j, f := range a.Sigma {
+		if j != fi && !f.LHS.Intersects(d) && d.Contains(f.RHS) {
+			if j < fi {
+				earlier = true
+			} else {
+				later = true
+			}
+		}
+	}
+	return earlier, later
 }
 
 // sampleClusterEdges emits up to cap cross-subgroup pairs of one cluster.
@@ -636,6 +796,9 @@ func (a *Analysis) sampleClusterEdges(g []int32, rhs int, cap int, emit func(Edg
 	if sp.NumGroups() < 2 {
 		return
 	}
+	if a.partner == nil {
+		a.partner = make([]int32, a.In.N())
+	}
 	emitted := 0
 	send := func(t1, t2 int32) bool {
 		if t1 > t2 {
@@ -647,16 +810,16 @@ func (a *Analysis) sampleClusterEdges(g []int32, rhs int, cap int, emit func(Edg
 	}
 	// Phase 1: a maximal matching via the two-pointer sweep over the
 	// subgroup-ordered flat partition (same construction as matchCluster).
+	// The matching is vertex-disjoint, so marking each endpoint with its
+	// partner identifies the matched pairs for phase 2.
+	a.epoch++
 	flat, offs := sp.Tuples, sp.Offsets
-	inMatching := make(map[[2]int32]bool)
 	i, j := 0, len(flat)-1
 	sgi, sgj := 0, sp.NumGroups()-1
 	for i < j && sgi != sgj {
 		t1, t2 := flat[i], flat[j]
-		if t1 > t2 {
-			t1, t2 = t2, t1
-		}
-		inMatching[[2]int32{t1, t2}] = true
+		a.matched[t1], a.matched[t2] = a.epoch, a.epoch
+		a.partner[t1], a.partner[t2] = t2, t1
 		if send(t1, t2) {
 			return
 		}
@@ -683,10 +846,7 @@ func (a *Analysis) sampleClusterEdges(g []int32, rhs int, cap int, emit func(Edg
 				}
 				any = true
 				t1, t2 := sx[ai], sy[bj]
-				if t1 > t2 {
-					t1, t2 = t2, t1
-				}
-				if inMatching[[2]int32{t1, t2}] {
+				if a.matched[t1] == a.epoch && a.partner[t1] == t2 {
 					continue
 				}
 				if send(t1, t2) {

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"relatrust/internal/components"
 	"relatrust/internal/conflict"
 	"relatrust/internal/fd"
 	"relatrust/internal/relation"
+	"relatrust/internal/session"
 	"relatrust/internal/testkit"
 )
 
@@ -457,5 +459,52 @@ func TestSplicedSamplersMatch(t *testing.T) {
 		if got, want := ev.CoverSize(spliced, ext), fev.CoverSize(fresh, ext); got != want {
 			t.Fatalf("trial %d: spliced evaluator %d, fresh evaluator %d", trial, got, want)
 		}
+	}
+}
+
+// TestPrepMemoPerGeneration: the per-root memo behind DiffSets and the
+// other searcher inputs answers for one snapshot only. With the memo warm
+// at every generation, the generation each PATCH publishes must answer as
+// a fresh build of its instance does, and the previous generation must
+// keep answering for its own instance.
+func TestPrepMemoPerGeneration(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	const width, dom = 5, 2
+	in := testkit.RandomInstance(rng, 60, width, dom)
+	sigma := testkit.RandomFDs(rng, width, 2, 2)
+	tb := NewTable(in, 1)
+	check := func(cur *relation.Instance, eng *session.Engine, label string) {
+		t.Helper()
+		a := eng.Acquire(sigma)
+		defer eng.Release(a)
+		fresh := conflict.New(cur, sigma)
+		for _, c := range []int{0, 8} {
+			if got, want := a.DiffSets(c), fresh.DiffSets(c); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s cap %d: DiffSets %v, fresh build %v", label, c, got, want)
+			}
+			if got, want := a.MatchingEdgeSample(c), fresh.MatchingEdgeSample(c); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s cap %d: MatchingEdgeSample %v, fresh build %v", label, c, got, want)
+			}
+		}
+		if got, want := a.PermanentMatching(), fresh.PermanentMatching(); got != want {
+			t.Fatalf("%s: PermanentMatching %d, fresh build %d", label, got, want)
+		}
+		if got, want := a.BaseCoverSize(), fresh.CoverSize(nil); got != want {
+			t.Fatalf("%s: BaseCoverSize %d, fresh build %d", label, got, want)
+		}
+	}
+	prevIn, prevEng, _ := tb.Snapshot()
+	check(prevIn, prevEng, "generation 1")
+	n := in.N()
+	for batch := 0; batch < 12; batch++ {
+		ops, wantN := randBatch(rng, n, width, dom)
+		if _, err := tb.Apply(ops, nil); err != nil {
+			t.Fatal(err)
+		}
+		n = wantN
+		cur, eng, gen := tb.Snapshot()
+		check(cur, eng, fmt.Sprintf("generation %d", gen))
+		check(prevIn, prevEng, fmt.Sprintf("generation %d after the next PATCH", gen-1))
+		prevIn, prevEng = cur, eng
 	}
 }

@@ -31,13 +31,17 @@ type Options struct {
 	// lower bound. Default 16.
 	ComboCap int
 	// CapPerCluster bounds conflict-graph edges sampled per violation
-	// cluster when collecting difference sets. Default 50.
+	// cluster when collecting difference sets. Default 50. The difference
+	// sets are memoized per analysis root and cap (conflict.DiffSets), so
+	// only the first searcher over a root with a given cap collects them.
 	CapPerCluster int
 	// MaxVisited aborts the search after this many states have been
 	// popped, as a runaway guard. Default 2,000,000.
 	MaxVisited int
 	// MatchSampleCap bounds the vertex-disjoint matching sample behind
-	// the knapsack half of the heuristic. Default 2000.
+	// the knapsack half of the heuristic. Default 2000. Like the
+	// difference sets, the sample is memoized per analysis root and cap
+	// (conflict.MatchingEdgeSample).
 	MatchSampleCap int
 	// Workers sets the number of parallel evaluation workers: successor
 	// scoring, the goal-test cover query, and open-list re-estimation fan
@@ -144,8 +148,10 @@ type Searcher struct {
 	lastStats Stats
 }
 
-// NewSearcher prepares a searcher: collects difference sets once and wires
-// the heuristic. The weighting w prices LHS extensions; the searcher reads
+// NewSearcher prepares a searcher: takes the difference sets, matching
+// sample and permanent matching from the analysis' per-root memo (built by
+// the first searcher over the root, shared by the rest) and wires the
+// heuristic. The weighting w prices LHS extensions; the searcher reads
 // it through a concurrency-safe weights.Memo — w itself when it already is
 // one (a session engine's shared memo), else a memo private to the
 // searcher.
@@ -232,7 +238,7 @@ func (s *Searcher) Alpha() int { return s.alpha }
 // DeltaPOriginal returns δP(Σ, I) for the unmodified FD set — the natural
 // upper end of the τ range and the denominator of the relative threshold
 // τr used throughout the experiments.
-func (s *Searcher) DeltaPOriginal() int { return s.alpha * s.An.CoverSize(nil) }
+func (s *Searcher) DeltaPOriginal() int { return s.alpha * s.An.BaseCoverSize() }
 
 // DiffSetCount reports how many distinct difference sets were collected.
 func (s *Searcher) DiffSetCount() int { return len(s.ds) }
@@ -677,13 +683,19 @@ func (s *Searcher) runPar(ctx context.Context, tauLow, tauHigh int, emit func(*R
 	return sink.results, nil
 }
 
-// matchDiffs extracts the difference sets of the analysis' matching
-// sample.
-func matchDiffs(an *conflict.Analysis, cap int) []relation.AttrSet {
-	edges := an.MatchingEdgeSample(cap)
-	out := make([]relation.AttrSet, len(edges))
-	for i, e := range edges {
-		out[i] = an.In.Tuples[e.T1].DiffSet(an.In.Tuples[e.T2])
+// matchDiffs groups the difference sets of the analysis' matching sample,
+// counting the sample edges that carry each, in order of first appearance.
+func matchDiffs(an *conflict.Analysis, cap int) []diffCount {
+	var out []diffCount
+	index := make(map[relation.AttrSet]int)
+	for _, d := range an.EdgeDiffs(an.MatchingEdgeSample(cap)) {
+		i, ok := index[d]
+		if !ok {
+			i = len(out)
+			index[d] = i
+			out = append(out, diffCount{attrs: d})
+		}
+		out[i].count++
 	}
 	return out
 }
@@ -695,7 +707,8 @@ type costCache struct {
 	cache map[relation.AttrSet]float64
 }
 
-func (c *costCache) weight(y relation.AttrSet) float64 {
+// Weight returns w(y), memoized.
+func (c *costCache) Weight(y relation.AttrSet) float64 {
 	if y.IsEmpty() {
 		return 0
 	}
@@ -714,15 +727,15 @@ func (c *costCache) weight(y relation.AttrSet) float64 {
 func (c *costCache) StateCost(s State) float64 {
 	total := 0.0
 	for _, y := range s {
-		total += c.weight(y)
+		total += c.Weight(y)
 	}
 	return total
 }
 
-// Marginal returns w(cur ∪ {add}) − w(cur), clamped at 0 for safety against
-// non-monotone user weightings.
-func (c *costCache) Marginal(cur relation.AttrSet, add int) float64 {
-	m := c.weight(cur.Add(add)) - c.weight(cur)
+// marginal returns w(cur ∪ {add}) − w(cur) from the two weights, clamped
+// at 0 for safety against non-monotone user weightings.
+func marginal(extended, cur float64) float64 {
+	m := extended - cur
 	if m < 0 {
 		return 0
 	}

@@ -12,7 +12,10 @@
 // forks share the instance, its dictionary-code columns and the cluster
 // arenas, own private cover scratch, and are recycled through the root's
 // fork pool on Release — so a warm Acquire/Release cycle allocates
-// nothing.
+// nothing. Forks also share the root's memo of what a searcher prepares
+// from (difference sets, matching sample, permanent matching, δP(Σ, I);
+// see conflict's package doc), so only the first request over a root
+// builds them and the engine's lifetime bounds theirs.
 //
 // # Ownership and lifecycle
 //
